@@ -10,10 +10,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/fit.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
+
+// The CMake configuration the bench binaries were built in (set per target
+// by CMakeLists.txt); recorded in every BENCH_*.json.
+#ifndef CCA_BUILD_TYPE
+#define CCA_BUILD_TYPE "unknown"
+#endif
 
 namespace cca::bench {
 
@@ -26,7 +34,10 @@ inline std::int64_t now_ns() {
 
 /// Machine-readable perf record, opt-in via `--json` on any bench binary.
 /// Collected rows are written to BENCH_<name>.json in the working directory
-/// so the perf trajectory across PRs can be diffed and plotted.
+/// so the perf trajectory across PRs can be diffed and plotted. The file
+/// also records the machine configuration the rows were measured in:
+/// `threads` (parallel_workers()), `hw_cores` (hardware concurrency) and
+/// `build_type`, so a comparison can tell like from unlike.
 class JsonReport {
  public:
   JsonReport(const std::string& name, int argc, char** argv) : name_(name) {
@@ -56,7 +67,12 @@ class JsonReport {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", name_.c_str());
+    std::fprintf(f,
+                 "{\n  \"bench\": \"%s\",\n  \"threads\": %d,\n"
+                 "  \"hw_cores\": %u,\n  \"build_type\": \"%s\",\n"
+                 "  \"rows\": [\n",
+                 name_.c_str(), parallel_workers(),
+                 std::thread::hardware_concurrency(), CCA_BUILD_TYPE);
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const auto& r = rows_[i];
       std::fprintf(f,

@@ -21,6 +21,11 @@ Gates:
     wall is below --wall-floor-ms (default 10 ms) are exempt: they are
     timed as a single shot, where one scheduler hiccup swamps the signal.
 
+Both files' machine configurations (threads, hw_cores, build_type, as
+written by the bench binaries) are printed, and a mismatch is flagged for
+information only: it never changes a gate. Files written before the
+configuration was recorded show it as "unrecorded".
+
 Exit status: 0 when every matched row passes, 1 otherwise.
 """
 
@@ -29,10 +34,19 @@ import json
 import sys
 
 
-def load_rows(path):
+CONFIG_KEYS = ("threads", "hw_cores", "build_type")
+
+
+def load(path):
     with open(path) as f:
         doc = json.load(f)
-    return {(r["label"], r["clique_n"]): r for r in doc.get("rows", [])}
+    rows = {(r["label"], r["clique_n"]): r for r in doc.get("rows", [])}
+    config = {k: doc.get(k, "unrecorded") for k in CONFIG_KEYS}
+    return rows, config
+
+
+def describe(config):
+    return ", ".join(f"{k}={config[k]}" for k in CONFIG_KEYS)
 
 
 def main():
@@ -46,8 +60,15 @@ def main():
                          "(single-shot sub-10ms timings are scheduler noise)")
     args = ap.parse_args()
 
-    base = load_rows(args.baseline)
-    fresh = load_rows(args.fresh)
+    base, base_config = load(args.baseline)
+    fresh, fresh_config = load(args.fresh)
+    print(f"baseline config: {describe(base_config)}")
+    print(f"fresh config:    {describe(fresh_config)}")
+    if base_config != fresh_config:
+        differing = [k for k in CONFIG_KEYS if base_config[k] != fresh_config[k]]
+        print(f"note: configurations differ in {', '.join(differing)}; wall "
+              f"ratios compare unlike set-ups (information only, gates "
+              f"unchanged)")
 
     matched = sorted(set(base) & set(fresh))
     only_base = sorted(set(base) - set(fresh))

@@ -97,14 +97,14 @@ void fail(Violation v) {
     std::fprintf(stderr, "%s\n", msg.c_str());
     std::abort();
   }
-  // Throw mode. An exception escaping a parallel_for worker thread would
-  // std::terminate, and one escaping the calling thread's chunk would
-  // unwind state the workers still reference — so in-region detections
-  // are deferred to the next serial checkpoint. DeliverInParallel is the
-  // exception: the violating thread is about to mutate every outbox, so
-  // letting it proceed to "defer" would be the race itself; throwing here
-  // stops the phase change (worst case, an undetached worker terminates
-  // the process — still strictly better than silent corruption).
+  // Throw mode. An exception thrown inside a parallel_for chunk would
+  // abandon the rest of that block mid-staging and reach the caller
+  // wherever the region happens to end — so in-region detections are
+  // deferred to the next serial checkpoint, the deliver the violation
+  // poisoned. DeliverInParallel is the exception: the violating thread is
+  // about to mutate every outbox, so letting it proceed to "defer" would
+  // be the race itself; throwing here stops the phase change, and
+  // parallel_for rethrows it on the region's caller.
   if (in_parallel_region() && kind != ContractKind::DeliverInParallel) {
     {
       const std::lock_guard<std::mutex> lock(g_pending_mu);
@@ -114,6 +114,18 @@ void fail(Violation v) {
     return;
   }
   throw ContractViolation(msg);
+}
+
+std::uint64_t StagingTracker::owner_token(std::uint64_t epoch,
+                                          std::uint32_t thread, int src,
+                                          std::int64_t superstep) {
+  if ((thread >> kThreadBits) != 0) {
+    fail({ContractKind::OwnerTokenOverflow, src, -1, superstep,
+          "thread token " + std::to_string(thread) + " does not fit the " +
+              std::to_string(kThreadBits) + "-bit owner slot"});
+    return 0;
+  }
+  return (epoch << kThreadBits) | thread;
 }
 
 void StagingTracker::check_stage(int src, std::int64_t superstep) {
@@ -129,13 +141,16 @@ void StagingTracker::check_stage(int src, std::int64_t superstep) {
         0, std::memory_order_relaxed);
     return;
   }
-  const std::uint64_t token = (epoch << 20) | thread_token();
+  const std::uint64_t token =
+      owner_token(epoch, thread_token(), src, superstep);
+  if (token == 0) return;
   auto& slot = slots_[static_cast<std::size_t>(src)].owner;
   CCA_TSAN_ACQUIRE(&slot);
   const std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  if (cur != 0 && (cur >> 20) == epoch && cur != token) {
+  if (cur != 0 && (cur >> kThreadBits) == epoch && cur != token) {
     fail({ContractKind::CrossSourceStaging, src, -1, superstep,
-          "source staged by thread " + std::to_string(cur & 0xfffff) +
+          "source staged by thread " +
+              std::to_string(cur & ((1u << kThreadBits) - 1)) +
               " and thread " + std::to_string(thread_token()) +
               " within one parallel_for region (epoch " +
               std::to_string(epoch) + ")"});

@@ -62,6 +62,9 @@ enum class ContractKind {
   StaleStagedSpan,
   /// An inbox view accessed after deliver() rebuilt the arena.
   StaleInboxSpan,
+  /// A staging thread's thread_token() does not fit the StagingTracker
+  /// owner slot, so the checker could no longer tell its threads apart.
+  OwnerTokenOverflow,
 };
 
 [[nodiscard]] constexpr const char* contract_name(ContractKind k) noexcept {
@@ -70,6 +73,7 @@ enum class ContractKind {
     case ContractKind::DeliverInParallel: return "deliver-in-parallel";
     case ContractKind::StaleStagedSpan: return "stale-staged-span";
     case ContractKind::StaleInboxSpan: return "stale-inbox-span";
+    case ContractKind::OwnerTokenOverflow: return "owner-token-overflow";
   }
   return "unknown-contract";
 }
@@ -173,9 +177,9 @@ class ScopedChecking {
 /// cca::ContractViolation immediately when that is safe — outside
 /// parallel regions, and for DeliverInParallel (where proceeding would
 /// race the phase change) — but a violation detected INSIDE a
-/// parallel_for chunk is deferred: an exception escaping a worker thread
-/// would std::terminate, so the violation is recorded, flagged pending,
-/// and rethrown from the next serial checkpoint (the next deliver /
+/// parallel_for chunk is deferred: throwing there would abandon the rest
+/// of the block mid-staging, so the violation is recorded, flagged
+/// pending, and rethrown from the next serial checkpoint (the next deliver /
 /// discard_staged / serial staging call, or an explicit raise_pending()).
 /// The report entry always carries the exact detection site either way.
 void fail(Violation v);
@@ -217,11 +221,20 @@ class StagingTracker {
     check_phase_change(what, superstep);
   }
 
+  /// Low bits of an owner token that hold the thread token.
+  static constexpr int kThreadBits = 20;
+
+  /// Owner token (epoch << kThreadBits) | thread for a slot. The epoch in
+  /// the high bits means tokens from different regions never compare
+  /// equal. A thread token that does not fit kThreadBits (the process
+  /// minted over a million of them) faults OwnerTokenOverflow for `src`
+  /// and yields 0, which leaves the slot unchecked.
+  static std::uint64_t owner_token(std::uint64_t epoch, std::uint32_t thread,
+                                   int src, std::int64_t superstep);
+
  private:
-  // Owner token per source: (parallel_for epoch << 20) | thread_token.
-  // 20 bits of thread token is far beyond any plausible worker count; the
-  // epoch occupying the high bits means tokens from different regions
-  // never compare equal. Token 0 = unclaimed / last staged serially.
+  // Owner token per source (owner_token); 0 = unclaimed / last staged
+  // serially.
   struct Slot {
     std::atomic<std::uint64_t> owner{0};
   };

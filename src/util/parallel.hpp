@@ -4,10 +4,13 @@
 // The congested clique model charges only for communication; each node's
 // local work between supersteps is unbounded and embarrassingly parallel
 // across the n simulated nodes. parallel_for runs those per-node loops on a
-// small worker group (std::thread, block-partitioned indices). Callers must
-// keep network mutation (send/deliver) OUT of the parallel region: Network
-// staging is single-threaded by design, while const reads of delivered
-// inboxes are safe from any thread.
+// persistent worker group: parallel_workers()-1 helper threads, started on
+// the first multi-worker call, that spin briefly and then park on a futex
+// between regions. The index range is block-partitioned; the calling
+// thread runs the first block. Callers must keep network mutation
+// (send/deliver) OUT of the parallel region: Network staging is
+// single-threaded by design, while const reads of delivered inboxes are
+// safe from any thread.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +19,8 @@
 namespace cca {
 
 /// Worker count used by parallel_for: the CCA_THREADS environment variable
-/// when set (clamped to >= 1), otherwise std::thread::hardware_concurrency.
+/// when set to a value >= 1, otherwise std::thread::hardware_concurrency;
+/// at most 65535. Latched on the first call.
 [[nodiscard]] int parallel_workers();
 
 /// True while the calling thread is executing a parallel_for chunk
@@ -51,8 +55,12 @@ void parallel_for_impl(int begin, int end,
 }  // namespace detail
 
 /// Run fn(i) for every i in [begin, end), partitioned over the workers.
-/// Falls back to a serial loop for single-worker configurations or trivial
-/// ranges. fn must be safe to invoke concurrently for distinct indices.
+/// Runs inline on the calling thread for single-worker configurations,
+/// single-index ranges, nested calls (from inside a region) and while
+/// another thread's region holds the worker group. fn must be safe to
+/// invoke concurrently for distinct indices. An exception from any block
+/// propagates to the caller once every block of the region has finished
+/// (the caller's own exception first, else the first helper's).
 template <typename Fn>
 void parallel_for(int begin, int end, Fn&& fn) {
   detail::parallel_for_impl(begin, end, [&fn](int b, int e) {

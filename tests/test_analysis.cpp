@@ -90,6 +90,24 @@ TEST(AnalysisReport, FailOutsideRegionThrowsTyped) {
   EXPECT_FALSE(analysis::has_pending());
 }
 
+// The owner slot packs the thread token into kThreadBits below the epoch;
+// a token that does not fit would spill into the epoch bits, so it faults
+// typed instead of packing.
+TEST(AnalysisChecker, OwnerTokenOverflowFaultsTyped) {
+  CheckedThrowScope scope;
+  using analysis::StagingTracker;
+  constexpr std::uint32_t kLast = (1u << StagingTracker::kThreadBits) - 1;
+  EXPECT_EQ(StagingTracker::owner_token(3, kLast, 0, 0),
+            (std::uint64_t{3} << StagingTracker::kThreadBits) | kLast);
+  EXPECT_THROW((void)StagingTracker::owner_token(3, kLast + 1, 5, 9),
+               ContractViolation);
+  const auto vs = analysis::Report::instance().violations();
+  ASSERT_EQ(vs.size(), 1u);
+  EXPECT_EQ(vs[0].kind, analysis::ContractKind::OwnerTokenOverflow);
+  EXPECT_EQ(vs[0].src, 5);
+  EXPECT_EQ(vs[0].superstep, 9);
+}
+
 // ---------------------------------------------------------------------------
 // Contract: deliver()/discard_staged() must not run inside parallel_for.
 // A single-iteration region runs on the calling thread in every thread
