@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -815,6 +816,156 @@ TEST(DensificationTrace, HysteresisSkipsTheAnnouncementRound) {
   EXPECT_EQ(ctx.trace[0], core::AutoEngineChoice::Semiring3D);
   EXPECT_EQ(ctx.trace[1], core::AutoEngineChoice::Semiring3D);
 }
+
+// ---------------------------------------------------------------------------
+// Auto dispatch pins: the pick, the per-call trace, and the absolute traffic
+// (rounds, words, schedule-cache hits and misses) of the single and batched
+// dispatch paths, across clique shape (cube 27 / non-cube 20, 30 / the
+// Fast-admitting 64 through IntMmEngine), input density, batch size,
+// scheduling policy, and with or without a context carried over 2-3 calls.
+// Every value was recorded from the two-dispatcher implementation this
+// suite was written against; a refactor of the dispatcher must keep all of
+// them.
+// ---------------------------------------------------------------------------
+
+struct AutoCall {
+  int batch;   ///< 1 = single product
+  char input;  ///< 's' sparse (~3n nonzeros per matrix), 'd' fully dense
+};
+
+struct AutoPinCase {
+  const char* name;
+  int n;
+  std::vector<AutoCall> calls;
+  clique::SchedulePolicy policy;
+  bool with_ctx;
+  bool via_engine;  ///< IntMmEngine(MmKind::Auto, n) instead of mm_* calls
+  std::vector<core::AutoEngineChoice> trace;  ///< checked when with_ctx
+  std::int64_t rounds, total_words, hits, misses;
+};
+
+Matrix<std::int64_t> auto_pin_input(int n, char kind, std::uint64_t seed) {
+  if (kind == 's') return random_sparse_matrix(n, 3 * n, seed);
+  Rng rng(seed);
+  Matrix<std::int64_t> m(n, n, 0);
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j) m(i, j) = rng.next_in(1, 9);
+  return m;
+}
+
+class AutoDispatchPins : public ::testing::TestWithParam<AutoPinCase> {};
+
+TEST_P(AutoDispatchPins, PickTraceAndTrafficArePinned) {
+  const auto& pc = GetParam();
+  using M = Matrix<std::int64_t>;
+  const IntRing ring;
+  const I64Codec codec;
+  const core::IntMmEngine engine(MmKind::Auto, pc.n);
+  if (pc.via_engine) {
+    ASSERT_EQ(engine.clique_n(), pc.n);
+  }
+  clique::Network net(pc.n);
+  net.set_schedule_policy(pc.policy);
+  core::MmDispatchContext ctx;
+  core::MmDispatchContext* c = pc.with_ctx ? &ctx : nullptr;
+  std::uint64_t seed = 9000;
+  for (const auto& call : pc.calls) {
+    std::vector<M> as, bs;
+    for (int b = 0; b < call.batch; ++b) {
+      as.push_back(auto_pin_input(pc.n, call.input, seed++));
+      bs.push_back(auto_pin_input(pc.n, call.input, seed++));
+    }
+    const std::span<const M> sa(as), sb(bs);
+    std::vector<M> got;
+    if (pc.via_engine && call.batch == 1)
+      got.push_back(engine.multiply(net, as[0], bs[0], c));
+    else if (pc.via_engine)
+      got = engine.multiply_batch(net, sa, sb, c);
+    else if (call.batch == 1 && c == nullptr)
+      got.push_back(core::mm_semiring_auto(net, ring, codec, as[0], bs[0]));
+    else
+      got = core::mm_semiring_auto_batch(net, ring, codec, sa, sb, c);
+    ASSERT_EQ(got.size(), as.size());
+    for (std::size_t b = 0; b < as.size(); ++b) {
+      EXPECT_EQ(got[b], multiply(ring, as[b], bs[b])) << "product " << b;
+    }
+  }
+  const auto& st = net.stats();
+  std::string trace;
+  for (const auto ch : ctx.trace) trace += "SDFN"[static_cast<int>(ch)];
+  SCOPED_TRACE(::testing::Message()
+               << pc.name << ": trace=" << trace << " rounds=" << st.rounds
+               << " words=" << st.total_words << " hits=" << st.schedule_hits
+               << " misses=" << st.schedule_misses);
+  if (pc.with_ctx) {
+    EXPECT_EQ(ctx.trace, pc.trace);
+  }
+  EXPECT_EQ(st.rounds, pc.rounds);
+  EXPECT_EQ(st.total_words, pc.total_words);
+  EXPECT_EQ(st.schedule_hits, pc.hits);
+  EXPECT_EQ(st.schedule_misses, pc.misses);
+}
+
+constexpr auto kExact = clique::SchedulePolicy::ExactKoenig;
+constexpr auto kGreedy = clique::SchedulePolicy::Greedy;
+constexpr auto kS = core::AutoEngineChoice::Sparse;
+constexpr auto k3 = core::AutoEngineChoice::Semiring3D;
+constexpr auto kN = core::AutoEngineChoice::Naive;
+
+INSTANTIATE_TEST_SUITE_P(
+    AutoDispatch, AutoDispatchPins,
+    ::testing::Values(
+        // Single calls, no context.
+        AutoPinCase{"single_sparse_cube", 27, {{1, 's'}}, kExact, false, false,
+                    {}, 13, 802, 3, 0},
+        AutoPinCase{"single_dense_cube", 27, {{1, 'd'}}, kExact, false, false,
+                    {}, 22, 5994, 2, 0},
+        AutoPinCase{"single_sparse_cube_greedy", 27, {{1, 's'}}, kGreedy,
+                    false, false, {}, 12, 802, 3, 0},
+        AutoPinCase{"single_dense_cube_greedy", 27, {{1, 'd'}}, kGreedy,
+                    false, false, {}, 27, 5994, 2, 0},
+        AutoPinCase{"single_sparse_noncube", 20, {{1, 's'}}, kExact, false,
+                    false, {}, 12, 583, 3, 0},
+        AutoPinCase{"single_dense_noncube", 20, {{1, 'd'}}, kExact, false,
+                    false, {}, 41, 0, 0, 0},
+        AutoPinCase{"single_dense_noncube_greedy", 30, {{1, 'd'}}, kGreedy,
+                    false, false, {}, 61, 0, 0, 0},
+        // Batched calls, no context.
+        AutoPinCase{"batch2_sparse_cube", 27, {{2, 's'}}, kExact, false, false,
+                    {}, 16, 2960, 3, 0},
+        AutoPinCase{"batch4_dense_cube", 27, {{4, 'd'}}, kExact, false, false,
+                    {}, 79, 26784, 2, 0},
+        AutoPinCase{"batch4_sparse_cube_greedy", 27, {{4, 's'}}, kGreedy,
+                    false, false, {}, 28, 5780, 3, 0},
+        AutoPinCase{"batch2_dense_cube_greedy", 27, {{2, 'd'}}, kGreedy, false,
+                    false, {}, 54, 13392, 2, 0},
+        AutoPinCase{"batch2_sparse_noncube", 30, {{2, 's'}}, kExact, false,
+                    false, {}, 16, 3426, 3, 0},
+        AutoPinCase{"batch2_dense_noncube", 20, {{2, 'd'}}, kExact, false,
+                    false, {}, 210, 41040, 2, 0},
+        AutoPinCase{"batch4_sparse_noncube_greedy", 20, {{4, 's'}}, kGreedy,
+                    false, false, {}, 30, 3764, 3, 0},
+        // A context carried over 2-3 calls: the densification lock and its
+        // replay at B = 1 and B > 1.
+        AutoPinCase{"ctx_cube", 27, {{1, 's'}, {2, 'd'}, {4, 'd'}}, kExact,
+                    true, false, {kS, k3, k3}, 128, 38170, 5, 2},
+        AutoPinCase{"ctx_cube_greedy", 27, {{2, 's'}, {1, 'd'}, {2, 'd'}},
+                    kGreedy, true, false, {kS, k3, k3}, 95, 20942, 7, 0},
+        // Non-cube: a single dense call locks Naive, and the batch after it
+        // replays the locked engine product by product.
+        AutoPinCase{"ctx_noncube_locked_batch", 20,
+                    {{1, 'd'}, {2, 'd'}, {1, 's'}}, kExact, true, false,
+                    {kN, kN, kN}, 161, 0, 0, 0},
+        AutoPinCase{"ctx_noncube_greedy", 30, {{2, 's'}, {1, 'd'}, {3, 'd'}},
+                    kGreedy, true, false, {kS, kN, kN}, 257, 3426, 3, 0},
+        // 64 = 4^3 = 8^2: IntMmEngine adds the Fast candidate.
+        AutoPinCase{"ctx_engine_fast", 64, {{1, 's'}, {1, 'd'}, {2, 'd'}},
+                    kExact, true, true, {kS, k3, k3}, 81, 142384, 5, 2},
+        AutoPinCase{"ctx_engine_fast_greedy", 64, {{1, 'd'}, {1, 'd'}},
+                    kGreedy, true, true, {k3, k3}, 57, 93696, 4, 0}),
+    [](const ::testing::TestParamInfo<AutoPinCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace cca
