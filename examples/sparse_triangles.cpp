@@ -57,15 +57,17 @@ int main() {
   const IntRing ring;
   const I64Codec codec;
   clique::Network net(n);
-  core::AutoEngineChoice choice{};
-  const auto a2 = core::mm_semiring_auto(net, ring, codec, a, a, nullptr,
-                                         &choice);
-  std::printf("  A * A   : %s, cumulative rounds %lld\n",
-              choice == core::AutoEngineChoice::Sparse ? "sparse" : "dense",
+  // The context's trace records the engine each call chose.
+  core::MmDispatchContext ctx;
+  auto engine = [&] {
+    return ctx.trace.back() == core::AutoEngineChoice::Sparse ? "sparse"
+                                                             : "dense";
+  };
+  const auto a2 = core::mm_semiring_auto(net, ring, codec, a, a, &ctx);
+  std::printf("  A * A   : %s, cumulative rounds %lld\n", engine(),
               static_cast<long long>(net.stats().rounds));
-  (void)core::mm_semiring_auto(net, ring, codec, a2, a2, nullptr, &choice);
-  std::printf("  A^2*A^2 : %s, cumulative rounds %lld\n",
-              choice == core::AutoEngineChoice::Sparse ? "sparse" : "dense",
+  (void)core::mm_semiring_auto(net, ring, codec, a2, a2, &ctx);
+  std::printf("  A^2*A^2 : %s, cumulative rounds %lld\n", engine(),
               static_cast<long long>(net.stats().rounds));
   return 0;
 }

@@ -155,9 +155,8 @@ WitnessedProduct dp_semiring_witness_auto(clique::Network& net,
                                           MmDispatchContext* ctx) {
   const WitnessMinPlus sr;
   const WDistCodec codec;
-  return unpack_witnessed(mm_semiring_auto(net, sr, codec,
-                                           lift_with_witness(s), lift_plain(t),
-                                           nullptr, nullptr, nullptr, ctx));
+  return unpack_witnessed(mm_semiring_auto(
+      net, sr, codec, lift_with_witness(s), lift_plain(t), ctx));
 }
 
 std::vector<WitnessedProduct> dp_semiring_witness_batch_auto(
@@ -258,9 +257,8 @@ Matrix<std::int64_t> dp_ring_embedded(clique::Network& net,
   const auto et = embed(t);
   const auto prod =
       ctx != nullptr
-          ? mm_semiring_auto(net, ring, codec, es, et,
-                             net.owns_all() ? &alg : nullptr, nullptr,
-                             nullptr, ctx)
+          ? mm_semiring_auto(net, ring, codec, es, et, ctx,
+                             net.owns_all() ? &alg : nullptr)
           : mm_fast_bilinear(net, ring, codec, alg, es, et);
 
   Matrix<std::int64_t> out(n, n, kInf);

@@ -308,10 +308,13 @@ TEST(SparsePlanner, BuildFreeLowerBoundNeverExceedsPlannedRounds) {
     const auto b = random_sparse_matrix(n, nnz_b, seed + 1);
     const auto sa = pattern_of(a);
     const auto sb = pattern_of(b);
-    const auto lb = core::sparse_round_lower_bound(n, sa, sb, vw);
+    const auto lb = core::sparse_round_lower_bound(
+        n, std::span<const core::SparsePattern>(&sa, 1),
+        std::span<const core::SparsePattern>(&sb, 1), vw);
     const auto st = core::build_sparse_mm_structure(n, sa, sb, vw);
     clique::Network net(n);
-    const auto planned = core::sparse_planned_rounds(net, st);
+    const auto planned = core::sparse_planned_rounds_batch(
+        net, std::span<const core::SparseMmStructure>(&st, 1));
     EXPECT_LE(lb, planned) << "n=" << n << " seed=" << seed;
     ++cases;
   }
@@ -803,11 +806,9 @@ TEST(DensificationTrace, HysteresisSkipsTheAnnouncementRound) {
   clique::Network net(n), net_fixed(n);
   core::MmDispatchContext ctx;
   const I64Codec codec;
-  (void)core::mm_semiring_auto(net, IntRing{}, codec, a, a, nullptr, nullptr,
-                               nullptr, &ctx);
+  (void)core::mm_semiring_auto(net, IntRing{}, codec, a, a, &ctx);
   const auto first = net.stats().rounds;
-  (void)core::mm_semiring_auto(net, IntRing{}, codec, a, a, nullptr, nullptr,
-                               nullptr, &ctx);
+  (void)core::mm_semiring_auto(net, IntRing{}, codec, a, a, &ctx);
   const auto second = net.stats().rounds - first;
   (void)core::mm_semiring_3d(net_fixed, IntRing{}, codec, a, a);
   EXPECT_EQ(first, net_fixed.stats().rounds + 1);
@@ -815,6 +816,27 @@ TEST(DensificationTrace, HysteresisSkipsTheAnnouncementRound) {
   ASSERT_EQ(ctx.trace.size(), 2u);
   EXPECT_EQ(ctx.trace[0], core::AutoEngineChoice::Semiring3D);
   EXPECT_EQ(ctx.trace[1], core::AutoEngineChoice::Semiring3D);
+}
+
+TEST(DensificationTrace, OneTraceEntryPerBatchedCallAtOneNode) {
+  // The trace records one entry per dispatcher call, whatever the batch
+  // size and clique shape — including the degenerate one-node clique.
+  clique::Network net(1);
+  core::MmDispatchContext ctx;
+  std::vector<Matrix<std::int64_t>> as, bs;
+  for (std::int64_t b = 0; b < 3; ++b) {
+    as.emplace_back(1, 1, b + 2);
+    bs.emplace_back(1, 1, 5);
+  }
+  const auto got = core::mm_semiring_auto_batch(
+      net, IntRing{}, I64Codec{}, std::span<const Matrix<std::int64_t>>(as),
+      std::span<const Matrix<std::int64_t>>(bs), &ctx);
+  ASSERT_EQ(got.size(), 3u);
+  for (std::size_t b = 0; b < 3; ++b)
+    EXPECT_EQ(got[b](0, 0), 5 * (2 + static_cast<std::int64_t>(b)));
+  ASSERT_EQ(ctx.trace.size(), 1u);
+  EXPECT_EQ(ctx.trace[0], core::AutoEngineChoice::Sparse);
+  EXPECT_EQ(net.stats().rounds, 0);
 }
 
 // ---------------------------------------------------------------------------
