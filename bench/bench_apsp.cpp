@@ -6,7 +6,6 @@
 // the perf trajectory of the APSP path is tracked per PR alongside
 // BENCH_mm.json; `--smoke` restricts to tiny sizes for the CI smoke step.
 #include <cstdio>
-#include <limits>
 #include <utility>
 
 #include "bench_common.hpp"
@@ -64,26 +63,17 @@ int main(int argc, char** argv) {
     Series fix{"fixed Semiring3D", {}, {}};
     const std::vector<int> sparse_sizes =
         smoke ? std::vector<int>{27, 64} : std::vector<int>{27, 64, 125, 216};
-    // One untimed warmup then min-of-3 timed reps per engine: single-op
-    // cold measurements on this series fluctuate +-15% (allocator and page
-    // warmup dominate the first run), which previously made the committed
-    // wall columns irreproducible. Rounds are deterministic — asserted
-    // identical across reps.
-    const int kReps = 3;
+    // Median of the timed repeats, each from an empty schedule store (so
+    // the sched columns below report cold scheduling). Rounds are
+    // deterministic — asserted identical across repeats.
     auto measure = [&](const Graph& g, MmKind kind) {
-      auto best = apsp_semiring(g, kind);  // warmup (untimed)
-      std::int64_t min_wall = std::numeric_limits<std::int64_t>::max();
-      for (int r = 0; r < kReps; ++r) {
-        const auto t0 = cca::bench::now_ns();
+      std::int64_t rounds = -1;
+      return cca::bench::time_row([&] {
         auto res = apsp_semiring(g, kind);
-        const auto t1 = cca::bench::now_ns();
-        CCA_ASSERT(res.traffic.rounds == best.traffic.rounds);
-        if (t1 - t0 < min_wall) {
-          min_wall = t1 - t0;
-          best = std::move(res);
-        }
-      }
-      return std::pair{std::move(best), min_wall};
+        CCA_ASSERT(rounds < 0 || res.traffic.rounds == rounds);
+        rounds = res.traffic.rounds;
+        return res;
+      });
     };
     for (const int n : sparse_sizes) {
       const auto g = random_weighted_graph(n, 8.0 / n, 1, 50,
@@ -95,10 +85,11 @@ int main(int argc, char** argv) {
       aut.add(n, static_cast<double>(ra.traffic.rounds));
       fix.add(n, static_cast<double>(rf.traffic.rounds));
       // sched = host ns inside the relay scheduler (TrafficStats::
-      // schedule_wall_ns); hits/misses = schedule-cache counters. The pair
-      // of sched columns is the wall-clock story of this series: planning
-      // cost is what separated auto from 3d before the parallel split,
-      // demand quantisation and message alignment.
+      // schedule_wall_ns) on the last, cold repeat; hits/misses = the
+      // network's schedule counters. The pair of sched columns is the
+      // wall-clock story of this series: planning cost is what separated
+      // auto from 3d before the parallel split, demand quantisation and
+      // message alignment.
       std::printf(
           "  n=%3d  auto=%5lld (%6.2f ms, sched %5.2f, hit %lld/%lld)  "
           "3d=%5lld (%6.2f ms, sched %5.2f)  ",
@@ -124,10 +115,9 @@ int main(int argc, char** argv) {
     for (const int n : plaw_sizes) {
       const auto g = power_law_graph(n, 3 * n, 2.2,
                                      7 + static_cast<std::uint64_t>(n));
-      const auto t0 = cca::bench::now_ns();
-      const auto r = apsp_semiring(g);
-      const auto t1 = cca::bench::now_ns();
-      json.add("apsp_auto_plaw", n, r.traffic.rounds, t1 - t0);
+      const auto [r, wall] =
+          cca::bench::time_row([&] { return apsp_semiring(g); });
+      json.add("apsp_auto_plaw", n, r.traffic.rounds, wall);
       plaw.add(n, static_cast<double>(r.traffic.rounds));
       std::printf("  n=%3d  auto=%5lld  ", n,
                   static_cast<long long>(r.traffic.rounds));
@@ -170,10 +160,9 @@ int main(int argc, char** argv) {
     const auto g = random_weighted_graph(n, 0.3, 1, 50,
                                          3 + static_cast<std::uint64_t>(n),
                                          /*directed=*/true);
-    const auto t0 = cca::bench::now_ns();
-    const auto r = apsp_semiring(g);
-    const auto t1 = cca::bench::now_ns();
-    json.add("apsp_semiring", n, r.traffic.rounds, t1 - t0);
+    const auto [r, wall] =
+        cca::bench::time_row([&] { return apsp_semiring(g); });
+    json.add("apsp_semiring", n, r.traffic.rounds, wall);
     exact.add(n, static_cast<double>(r.traffic.rounds));
     naive.add(n, static_cast<double>(apsp_naive_learn(g).traffic.rounds));
   }
@@ -193,10 +182,9 @@ int main(int argc, char** argv) {
     const auto g = random_weighted_graph(n, 0.4, 1, 4,
                                          5 + static_cast<std::uint64_t>(n),
                                          /*directed=*/false);
-    const auto t0 = cca::bench::now_ns();
-    const auto r = apsp_bounded(g, /*m_bound=*/8);
-    const auto t1 = cca::bench::now_ns();
-    json.add("apsp_bounded", n, r.traffic.rounds, t1 - t0);
+    const auto [r, wall] =
+        cca::bench::time_row([&] { return apsp_bounded(g, /*m_bound=*/8); });
+    json.add("apsp_bounded", n, r.traffic.rounds, wall);
     bounded.add(n, static_cast<double>(r.traffic.rounds));
   }
   cca::bench::print_series_table({bounded});
@@ -209,10 +197,8 @@ int main(int argc, char** argv) {
       smoke ? std::vector<int>{36} : std::vector<int>{36, 64, 121, 196};
   for (const int n : seidel_sizes) {
     const auto g = gnp_random_graph(n, 3.0 / n, 11 + static_cast<std::uint64_t>(n));
-    const auto t0 = cca::bench::now_ns();
-    const auto r = apsp_seidel(g);
-    const auto t1 = cca::bench::now_ns();
-    json.add("apsp_seidel", n, r.traffic.rounds, t1 - t0);
+    const auto [r, wall] = cca::bench::time_row([&] { return apsp_seidel(g); });
+    json.add("apsp_seidel", n, r.traffic.rounds, wall);
     seidel.add(n, static_cast<double>(r.traffic.rounds));
   }
   cca::bench::print_series_table({seidel});
@@ -227,9 +213,8 @@ int main(int argc, char** argv) {
   const std::vector<double> deltas =
       smoke ? std::vector<double>{0.5} : std::vector<double>{0.5, 0.25, 0.1};
   for (const double delta : deltas) {
-    const auto t0 = cca::bench::now_ns();
-    const auto approx = apsp_approx(g, delta);
-    const auto t1 = cca::bench::now_ns();
+    const auto [approx, wall] =
+        cca::bench::time_row([&] { return apsp_approx(g, delta); });
     double worst = 1.0;
     for (int u = 0; u < n_apx; ++u)
       for (int v = 0; v < n_apx; ++v)
@@ -242,7 +227,7 @@ int main(int argc, char** argv) {
     char label[32];
     std::snprintf(label, sizeof label, "apsp_approx_d%02d",
                   static_cast<int>(delta * 100));
-    json.add(label, n_apx, approx.traffic.rounds, t1 - t0);
+    json.add(label, n_apx, approx.traffic.rounds, wall);
   }
   std::printf("(ratio must stay below (1+delta)^ceil(log2 n); smaller delta "
               "costs ~1/delta^2 more rounds — Lemma 20's trade-off)\n");
@@ -271,11 +256,10 @@ int main(int argc, char** argv) {
           n, 0.3, 1, 50, 3 + static_cast<std::uint64_t>(n), /*directed=*/true);
       const auto clean = apsp_semiring(gf);
       clique::FaultScope scope(plan);
-      const auto t0 = cca::bench::now_ns();
-      const auto r = apsp_semiring(gf);
-      const auto t1 = cca::bench::now_ns();
+      const auto [r, wall] =
+          cca::bench::time_row([&] { return apsp_semiring(gf); });
       CCA_ASSERT(r.dist == clean.dist);  // never a silent wrong answer
-      json.add("apsp_fault_mix", n, r.traffic.rounds, t1 - t0);
+      json.add("apsp_fault_mix", n, r.traffic.rounds, wall);
       faulty.add(n, static_cast<double>(r.traffic.rounds));
       std::printf(
           "  n=%3d  rounds=%6lld (clean %6lld, %.2fx)  faults=%4lld  "

@@ -6,13 +6,19 @@
 // exact schedule accounting (see src/clique/), never from formulas.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "clique/routing.hpp"
 #include "util/fit.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -32,6 +38,37 @@ inline std::int64_t now_ns() {
       .count();
 }
 
+/// Timed repeats behind every BENCH row's wall column.
+inline constexpr int kRepeats = 3;
+
+/// Median of kRepeats calls of `repeat`, each of which performs one timed
+/// repeat and returns its wall-clock ns. One slow spell on a shared host
+/// moves one repeat, not the row.
+template <typename Repeat>
+std::int64_t median_wall_ns(Repeat&& repeat) {
+  std::array<std::int64_t, kRepeats> walls{};
+  for (auto& wall : walls) wall = repeat();
+  std::sort(walls.begin(), walls.end());
+  return walls[kRepeats / 2];
+}
+
+/// Time `fn` as one BENCH row: kRepeats calls, each after emptying the
+/// process schedule store (clique::schedule_store()), so every repeat pays
+/// the cold relay scheduling a fresh process would. Returns the last
+/// call's result and the median wall-clock ns.
+template <typename Fn>
+auto time_row(Fn&& fn) {
+  std::optional<std::invoke_result_t<Fn&>> result;
+  const auto wall = median_wall_ns([&] {
+    result.reset();
+    clique::schedule_store().clear();
+    const auto t0 = now_ns();
+    result.emplace(fn());
+    return now_ns() - t0;
+  });
+  return std::pair{std::move(*result), wall};
+}
+
 /// Machine-readable perf record, opt-in via `--json` on any bench binary.
 /// Collected rows are written to BENCH_<name>.json in the working directory
 /// so the perf trajectory across PRs can be diffed and plotted. The file
@@ -48,7 +85,8 @@ class JsonReport {
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// Record one measured configuration: the clique (padded) size, the exact
-  /// simulated rounds, and the measured wall-clock per operation.
+  /// simulated rounds, and the measured wall-clock per operation (the
+  /// median of kRepeats, as time_row and median_wall_ns measure it).
   void add(const std::string& label, long long clique_n, long long rounds,
            std::int64_t wall_ns_per_op) {
     rows_.push_back({label, clique_n, rounds, wall_ns_per_op});

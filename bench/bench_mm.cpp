@@ -130,32 +130,38 @@ int run_socket_series(cca::bench::JsonReport& json) {
       23000 + static_cast<int>(getpid() % 16384);  // avoid TIME_WAIT reuse
   for (const int nprocs : {1, 2, 4}) {
     for (const int n : {27, 64}) {
-      const int port_base = port_lo + 8 * config++;
-      const auto t0 = cca::bench::now_ns();
-      const auto arena = run_semiring(n);
-      const auto t1 = cca::bench::now_ns();
+      const auto [arena, arena_wall] =
+          cca::bench::time_row([&] { return run_semiring(n); });
 
-      std::vector<pid_t> kids;
-      for (int r = 1; r < nprocs; ++r) {
-        const pid_t pid = fork();
-        if (pid == 0) {
-          char spec[64];
-          std::snprintf(spec, sizeof spec, "--socket-worker=%d:%d:%d:%d", r,
-                        nprocs, port_base, n);
-          execl("/proc/self/exe", "bench_mm", spec,
-                static_cast<char*>(nullptr));
-          _exit(127);
+      // One repeat: fork the worker ranks on a fresh port block, time rank
+      // 0's run from a cold schedule store, and reap the workers.
+      clique::TrafficStats socket;
+      const auto socket_wall = cca::bench::median_wall_ns([&] {
+        const int port_base = port_lo + 8 * config++;
+        std::vector<pid_t> kids;
+        for (int r = 1; r < nprocs; ++r) {
+          const pid_t pid = fork();
+          if (pid == 0) {
+            char spec[64];
+            std::snprintf(spec, sizeof spec, "--socket-worker=%d:%d:%d:%d",
+                          r, nprocs, port_base, n);
+            execl("/proc/self/exe", "bench_mm", spec,
+                  static_cast<char*>(nullptr));
+            _exit(127);
+          }
+          kids.push_back(pid);
         }
-        kids.push_back(pid);
-      }
-      const auto t2 = cca::bench::now_ns();
-      const auto socket = run_semiring_socket(n, 0, nprocs, port_base);
-      const auto t3 = cca::bench::now_ns();
-      for (const pid_t pid : kids) {
-        int status = 0;
-        waitpid(pid, &status, 0);
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) ++failures;
-      }
+        clique::schedule_store().clear();
+        const auto t0 = cca::bench::now_ns();
+        socket = run_semiring_socket(n, 0, nprocs, port_base);
+        const auto t1 = cca::bench::now_ns();
+        for (const pid_t pid : kids) {
+          int status = 0;
+          waitpid(pid, &status, 0);
+          if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) ++failures;
+        }
+        return t1 - t0;
+      });
       if (socket.rounds != arena.rounds ||
           socket.total_words != arena.total_words ||
           socket.schedule_hits != arena.schedule_hits)
@@ -163,14 +169,14 @@ int run_socket_series(cca::bench::JsonReport& json) {
 
       char label[32];
       std::snprintf(label, sizeof label, "mm_socket_p%d", nprocs);
-      json.add(label, n, socket.rounds, t3 - t2);
+      json.add(label, n, socket.rounds, socket_wall);
       std::printf(
           "  P=%d n=%3d  rounds=%4lld (arena %4lld)  socket %7.1f ms vs "
           "arena %7.1f ms%s\n",
           nprocs, n, static_cast<long long>(socket.rounds),
           static_cast<long long>(arena.rounds),
-          static_cast<double>(t3 - t2) / 1e6,
-          static_cast<double>(t1 - t0) / 1e6,
+          static_cast<double>(socket_wall) / 1e6,
+          static_cast<double>(arena_wall) / 1e6,
           failures > 0 ? "  [MISMATCH]" : "");
     }
   }
@@ -224,8 +230,11 @@ int main(int argc, char** argv) {
   // the tool that located the non-monotonic semiring_3d spike at n=343.
   if (cca::bench::has_flag(argc, argv, "--steps")) {
     cca::bench::print_header("Per-step wall-clock breakdown");
+    // Each profiled call starts from an empty schedule store, so the
+    // deliver() steps report cold relay scheduling.
     for (const int n : {216, 343, 512}) {
       MmStepProfile profile;
+      clique::schedule_store().clear();
       (void)run_semiring(n, &profile);
       char what[64];
       std::snprintf(what, sizeof what, "semiring_3d n=%d", n);
@@ -233,6 +242,7 @@ int main(int argc, char** argv) {
     }
     {
       MmStepProfile profile;
+      clique::schedule_store().clear();
       (void)run_fast(343, 3, &profile);
       print_profile("fast_bilinear n=343 depth=3 (clique 576)", profile);
     }
@@ -270,13 +280,18 @@ int main(int argc, char** argv) {
         bs.push_back(pad_matrix(random_matrix(cfg.n, b + 100), big,
                                 std::int64_t{0}));
       }
+      // Each side starts from an empty schedule store; the 8 per-query
+      // networks then share it, as queries in one process do.
       std::int64_t seq_rounds = 0;
+      clique::schedule_store().clear();
       const auto t0 = cca::bench::now_ns();
       for (std::size_t b = 0; b < b_count; ++b) {
         clique::Network net(big);
         (void)engine.multiply(net, as[b], bs[b]);
         seq_rounds += net.stats().rounds;
       }
+      const auto t1_seq = cca::bench::now_ns();
+      clique::schedule_store().clear();
       const auto t1 = cca::bench::now_ns();
       clique::Network net(big);
       (void)engine.multiply_batch(
@@ -287,10 +302,10 @@ int main(int argc, char** argv) {
           "  %-13s n=%3d (clique %3d)  8 queries: %5lld rounds %7.1f ms   "
           "batch: %5lld rounds %7.1f ms  (%.2fx wall, %.2fx rounds)\n",
           cfg.name, cfg.n, big, static_cast<long long>(seq_rounds),
-          static_cast<double>(t1 - t0) / 1e6,
+          static_cast<double>(t1_seq - t0) / 1e6,
           static_cast<long long>(net.stats().rounds),
           static_cast<double>(t2 - t1) / 1e6,
-          static_cast<double>(t1 - t0) / static_cast<double>(t2 - t1),
+          static_cast<double>(t1_seq - t0) / static_cast<double>(t2 - t1),
           static_cast<double>(seq_rounds) /
               static_cast<double>(net.stats().rounds));
     }
@@ -315,19 +330,18 @@ int main(int argc, char** argv) {
     for (const auto nnz :
          {n64, 3 * n64, n64 * 14 /* ~n^1.5 */, n64 * 40, n64 * 80,
           n64 * 120, n64 * 160, n64 * (n64 - 1) / 3}) {
-      const auto t0 = cca::bench::now_ns();
-      const auto s = run_sparse(n, nnz);
-      const auto t1 = cca::bench::now_ns();
-      const auto a = run_auto(n, nnz);
-      const auto t2 = cca::bench::now_ns();
+      const auto [s, ws] =
+          cca::bench::time_row([&] { return run_sparse(n, nnz); });
+      const auto [a, wa] =
+          cca::bench::time_row([&] { return run_auto(n, nnz); });
       const bool picked_sparse = a.rounds == s.rounds;
       std::printf("  nnz=%9lld %10lld %10lld %10s   (%6.1f / %6.1f ms)\n",
                   static_cast<long long>(nnz),
                   static_cast<long long>(s.rounds),
                   static_cast<long long>(a.rounds),
                   picked_sparse ? "sparse" : "dense+1",
-                  static_cast<double>(t1 - t0) / 1e6,
-                  static_cast<double>(t2 - t1) / 1e6);
+                  static_cast<double>(ws) / 1e6,
+                  static_cast<double>(wa) / 1e6);
     }
     std::printf(
         "\nThe crossover sits where the contribute volume ~1.5 T / n^2 "
@@ -358,10 +372,8 @@ int main(int argc, char** argv) {
       smoke ? std::vector<int>{27, 64} : std::vector<int>{27, 64, 125, 216,
                                                           343, 512};
   for (const int n : semi_sizes) {
-    const auto t0 = cca::bench::now_ns();
-    const auto s = run_semiring(n);
-    const auto t1 = cca::bench::now_ns();
-    json.add("semiring_3d", n, s.rounds, t1 - t0);
+    const auto [s, wall] = cca::bench::time_row([&] { return run_semiring(n); });
+    json.add("semiring_3d", n, s.rounds, wall);
     semi.add(n, static_cast<double>(s.rounds));
     semi_bound.add(n, static_cast<double>(s.bound_rounds));
     naive.add(n, static_cast<double>(run_naive(n)));
@@ -384,10 +396,9 @@ int main(int argc, char** argv) {
             : std::vector<FastConfig>{{7, 1}, {49, 2}, {343, 3}};
   for (const auto& f : family) {
     const auto plan = plan_fast_mm(f.n, f.depth);
-    const auto t0 = cca::bench::now_ns();
-    const auto s = run_fast(f.n, f.depth);
-    const auto t1 = cca::bench::now_ns();
-    json.add("fast_bilinear", plan.clique_n, s.rounds, t1 - t0);
+    const auto [s, wall] =
+        cca::bench::time_row([&] { return run_fast(f.n, f.depth); });
+    json.add("fast_bilinear", plan.clique_n, s.rounds, wall);
     std::printf("  n=%4d  depth=%d  padded clique N=%4d  rounds=%lld  "
                 "(lower bound %lld)\n",
                 f.n, f.depth, plan.clique_n,
@@ -423,13 +434,11 @@ int main(int argc, char** argv) {
                                                           343};
   for (const int n : sparse_sizes) {
     const auto nnz = static_cast<std::int64_t>(n) * isqrt(n);
-    const auto t0 = cca::bench::now_ns();
-    const auto s = run_sparse(n, nnz);
-    const auto t1 = cca::bench::now_ns();
-    const auto a = run_auto(n, nnz);
-    const auto t2 = cca::bench::now_ns();
-    json.add("mm_sparse", n, s.rounds, t1 - t0);
-    json.add("mm_auto", n, a.rounds, t2 - t1);
+    const auto [s, ws] =
+        cca::bench::time_row([&] { return run_sparse(n, nnz); });
+    const auto [a, wa] = cca::bench::time_row([&] { return run_auto(n, nnz); });
+    json.add("mm_sparse", n, s.rounds, ws);
+    json.add("mm_auto", n, a.rounds, wa);
     sparse.add(n, static_cast<double>(s.rounds));
     autoe.add(n, static_cast<double>(a.rounds));
   }

@@ -14,8 +14,6 @@
 // <= 2x round bound's measured slack. `--smoke` restricts to tiny sizes.
 #include <algorithm>
 #include <cstdio>
-#include <limits>
-#include <utility>
 
 #include "bench_common.hpp"
 #include "clique/routing.hpp"
@@ -67,20 +65,6 @@ std::vector<Demand> ragged(int n, std::uint64_t seed) {
   return out;
 }
 
-/// Wall-clock one scheduling function, min of `reps` fresh computations.
-template <typename Fn>
-std::pair<Schedule, std::int64_t> time_schedule(Fn&& fn, int reps = 3) {
-  Schedule sched = fn();  // warmup (untimed)
-  std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = cca::bench::now_ns();
-    sched = fn();
-    const auto t1 = cca::bench::now_ns();
-    best = std::min(best, t1 - t0);
-  }
-  return {sched, best};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -99,11 +83,11 @@ int main(int argc, char** argv) {
   for (const int n : sizes) {
     const auto d = ragged(n, 13 + static_cast<std::uint64_t>(n));
     const auto [serial, wall_serial] =
-        time_schedule([&] { return schedule_koenig_relay(n, d, 1); });
+        cca::bench::time_row([&] { return schedule_koenig_relay(n, d, 1); });
     const auto [tasks4, wall_tasks4] =
-        time_schedule([&] { return schedule_koenig_relay(n, d, 4); });
+        cca::bench::time_row([&] { return schedule_koenig_relay(n, d, 4); });
     const auto [greedy, wall_greedy] =
-        time_schedule([&] { return schedule_greedy_relay(n, d); });
+        cca::bench::time_row([&] { return schedule_greedy_relay(n, d); });
     if (serial.rounds != tasks4.rounds || serial.classes != tasks4.classes) {
       std::fprintf(stderr,
                    "FATAL: parallel split diverged at n=%d (serial %lld "

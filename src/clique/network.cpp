@@ -90,12 +90,23 @@ void Network::allgather_node_blocks(std::span<Word> data,
   transport_->allgather_blocks(data, offsets);
 }
 
-std::int64_t Network::prepare_schedule(const std::vector<Demand>& demands) {
-  if (demands.empty()) return 0;
+std::int64_t Network::relay_rounds(const std::vector<Demand>& demands,
+                                   bool* seen_before) {
   const auto t0 = wall_now_ns();
-  const auto rounds = schedule_cache_.get(n_, demands, schedule_policy_).rounds;
+  const auto key = demand_fingerprint(n_, demands);
+  *seen_before =
+      !seen_shapes_[static_cast<std::size_t>(schedule_policy_)].insert(key)
+           .second;
+  const auto rounds =
+      schedule_store().get(key, n_, demands, schedule_policy_).rounds;
   stats_.schedule_wall_ns += wall_now_ns() - t0;
   return rounds;
+}
+
+std::int64_t Network::prepare_schedule(const std::vector<Demand>& demands) {
+  if (demands.empty()) return 0;
+  bool seen = false;
+  return relay_rounds(demands, &seen);
 }
 
 std::int64_t Network::route_rounds(Router router,
@@ -112,15 +123,13 @@ std::int64_t Network::route_rounds(Router router,
     case Router::KoenigRelay: {
       // The Euler-split is deterministic in the demand list, so iterated
       // workloads with byte-identical traffic shapes (APSP squarings,
-      // Seidel levels, girth probes, batched products) pay the
-      // O(words * log maxdeg) class sequence once per shape.
+      // Seidel levels, girth probes, batched products, and every fresh
+      // Network of a repeated query) pay the O(words * log maxdeg) class
+      // sequence once per shape per process.
       if (demands.empty()) return 0;
-      bool hit = false;
-      const auto t0 = wall_now_ns();
-      const auto rounds =
-          schedule_cache_.get(n_, demands, schedule_policy_, &hit).rounds;
-      stats_.schedule_wall_ns += wall_now_ns() - t0;
-      if (hit)
+      bool seen = false;
+      const auto rounds = relay_rounds(demands, &seen);
+      if (seen)
         ++stats_.schedule_hits;
       else
         ++stats_.schedule_misses;

@@ -14,11 +14,12 @@
 // plugging n into an asymptotic formula.
 //
 // Architecture: Network is the ACCOUNTING layer — demand scheduling, round
-// charging, TrafficStats, the schedule cache, and the fault/integrity
-// machinery. The data plane (staging buffers, delivery arena, inboxes) lives
-// behind the clique::Transport seam (transport.hpp); the in-process
-// ArenaTransport is the default backend, and a future multi-process backend
-// slots in without touching any round accounting.
+// charging, TrafficStats, and the fault/integrity machinery. Relay
+// schedules live in the process-wide schedule_store() (routing.hpp), shared
+// by every Network. The data plane (staging buffers, delivery arena,
+// inboxes) lives behind the clique::Transport seam (transport.hpp); the
+// in-process ArenaTransport is the default backend, and a future
+// multi-process backend slots in without touching any round accounting.
 //
 // Fault model (fault.hpp): installing a FaultPlan hardens every deliver() —
 // payloads are framed with SplitMix64 checksums (one trailer word per
@@ -30,10 +31,12 @@
 // pre-seam engine.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "clique/fault.hpp"
@@ -77,14 +80,16 @@ struct TrafficStats {
   std::int64_t total_words = 0;     ///< words moved across the network
   std::int64_t max_node_send = 0;   ///< max words staged by one node, one superstep
   std::int64_t max_node_recv = 0;   ///< max words received by one node, one superstep
-  /// Koenig schedule-cache counters: supersteps whose routing schedule was
-  /// reused from an earlier byte-identical demand list vs computed fresh.
+  /// Koenig schedule counters, per network: a hit is a superstep whose
+  /// byte-identical demand list this network had already scheduled
+  /// (delivered or planned); a miss is the network's first sighting of the
+  /// shape, even when the process-wide schedule store already holds it.
   /// hits + misses == KoenigRelay supersteps with non-empty demands. The
   /// counters are wall-clock telemetry only: a hit replays the exact same
   /// schedule, so rounds/words are unaffected.
   std::int64_t schedule_hits = 0;
   std::int64_t schedule_misses = 0;
-  /// Host wall-clock nanoseconds spent INSIDE the relay scheduler (cache
+  /// Host wall-clock nanoseconds spent INSIDE the relay scheduler (store
   /// lookups included) by deliver() and prepare_schedule(). Pure telemetry —
   /// it measures the simulator's own planning cost, never the simulated
   /// rounds — and machine-dependent like recovery_wall_ns.
@@ -221,12 +226,14 @@ class Network {
   /// Plan: the exact KoenigRelay rounds a superstep with this demand list
   /// would be charged, WITHOUT staging or delivering anything. `demands`
   /// must be in the canonical (src, dst)-ascending order deliver() emits
-  /// (self-pairs and zero-word entries excluded). The computed schedule is
-  /// inserted into the schedule cache, so a dispatcher that plans a
-  /// superstep and then actually runs it pays the Euler split once — the
-  /// planning hook behind MmKind::Auto's engine selection. No TrafficStats
-  /// field moves (planning is free local computation in the clique model;
-  /// the hit/miss telemetry counts delivered supersteps only).
+  /// (self-pairs and zero-word entries excluded). The schedule comes from
+  /// (or enters) the process-wide schedule_store(), and the shape joins
+  /// this network's seen shapes, so a dispatcher that plans a superstep and
+  /// then actually runs it pays the Euler split at most once and the
+  /// delivery counts as a hit — the planning hook behind MmKind::Auto's
+  /// engine selection. Only schedule_wall_ns moves (planning is free local
+  /// computation in the clique model; the hit/miss telemetry counts
+  /// delivered supersteps only).
   [[nodiscard]] std::int64_t prepare_schedule(
       const std::vector<Demand>& demands);
 
@@ -252,9 +259,10 @@ class Network {
 
   [[nodiscard]] const TrafficStats& stats() const noexcept { return stats_; }
 
-  /// Reset statistics (topology and staged state must be empty). The
-  /// schedule cache is deliberately kept: it holds traffic shapes, not
-  /// accounting state.
+  /// Reset statistics (topology and staged state must be empty). The seen
+  /// shapes are deliberately kept: they record traffic shapes, not
+  /// accounting state, so a shape delivered before the reset still counts
+  /// as a hit after it.
   void reset_stats() noexcept { stats_ = TrafficStats{}; }
 
   /// Relay scheduling policy for KoenigRelay supersteps (and for
@@ -263,21 +271,15 @@ class Network {
   /// counts. Greedy swaps in the first-fit colouring: documented <= 2x the
   /// optimal class count for an O(words) scheduling pass — the rounds
   /// charged are still the EXACT cost of the concrete (looser) schedule.
-  /// Changing policy mid-run is legal; cache entries are policy-tagged, so
-  /// schedules never leak across policies.
+  /// Changing policy mid-run is legal; store entries and seen shapes are
+  /// policy-tagged, so schedules never leak across policies and a shape's
+  /// first delivery under a new policy counts as a miss.
   void set_schedule_policy(SchedulePolicy policy) noexcept {
     schedule_policy_ = policy;
   }
   [[nodiscard]] SchedulePolicy schedule_policy() const noexcept {
     return schedule_policy_;
   }
-
-  /// The Koenig schedule cache (exposed for tests and diagnostics).
-  [[nodiscard]] const ScheduleCache& schedule_cache() const noexcept {
-    return schedule_cache_;
-  }
-  /// Drop every cached schedule (subsequent supersteps recompute).
-  void clear_schedule_cache() { schedule_cache_.clear(); }
 
   // --- Fault injection & recovery (see fault.hpp) -----------------------
 
@@ -341,10 +343,16 @@ class Network {
 
  private:
   /// Exact rounds the given router charges for this demand list (consults
-  /// and feeds the schedule cache for KoenigRelay; updates the hit/miss
+  /// and feeds the schedule store for KoenigRelay; updates the hit/miss
   /// telemetry and schedule_wall_ns).
   [[nodiscard]] std::int64_t route_rounds(Router router,
                                           const std::vector<Demand>& demands);
+
+  /// Rounds of the relay schedule for a KoenigRelay or planned superstep,
+  /// from the process store. Records the shape as seen by this network;
+  /// `seen_before` receives whether it already was.
+  [[nodiscard]] std::int64_t relay_rounds(const std::vector<Demand>& demands,
+                                          bool* seen_before);
 
   /// The schedule-independent per-superstep lower bound for these volumes.
   [[nodiscard]] std::int64_t volume_bound_rounds(
@@ -369,10 +377,14 @@ class Network {
 
   TrafficStats stats_;
 
-  // Koenig schedules cached by demand fingerprint (see routing.hpp). Only
-  // the deterministic KoenigRelay discipline consults it; RandomRelay is
-  // seed-dependent and bypasses it by construction.
-  ScheduleCache schedule_cache_;
+  // Demand fingerprints of the shapes this network has scheduled, one set
+  // per SchedulePolicy: a network's first sighting of a shape is a
+  // schedule_misses event even when the process store already holds it.
+  // Only the deterministic KoenigRelay discipline (and prepare_schedule)
+  // feeds it; RandomRelay is seed-dependent and bypasses the store. A
+  // fingerprint collision could only turn a miss into a hit here; the
+  // store verifies every list, so rounds never depend on it.
+  std::array<std::unordered_set<std::uint64_t>, 2> seen_shapes_;
 
   // Fault layer state: the installed plan (if any) and the deterministic
   // clock its coins are keyed by.

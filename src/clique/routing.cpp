@@ -1069,31 +1069,123 @@ std::uint64_t demand_fingerprint(int n, const std::vector<Demand>& demands) {
   return h;
 }
 
-const Schedule& ScheduleCache::get(int n, const std::vector<Demand>& demands,
-                                   SchedulePolicy policy, bool* hit) {
-  const auto key = demand_fingerprint(n, demands);
-  if (const auto it = map_.find(key); it != map_.end()) {
-    for (const auto eit : it->second)
-      if (eit->n == n && eit->policy == policy && eit->demands == demands) {
-        ++stats_.hits;
-        ++eit->reuse;
-        lru_.splice(lru_.begin(), lru_, eit);
-        if (hit != nullptr) *hit = true;
-        return eit->schedule;
-      }
+namespace {
+
+// Stored demand lists are packed: each field of each demand is the zigzag
+// LEB128 varint of its difference from the same field of the previous
+// demand. A canonical list's src repeats and its dst and words change in
+// small steps, so a 16-byte Demand packs into 3-4 bytes; any list (unsorted
+// ones included) round-trips exactly.
+
+void put_delta(std::vector<std::uint8_t>& out, std::int64_t cur,
+               std::int64_t prev) {
+  const auto d = static_cast<std::int64_t>(static_cast<std::uint64_t>(cur) -
+                                           static_cast<std::uint64_t>(prev));
+  auto z = (static_cast<std::uint64_t>(d) << 1) ^
+           static_cast<std::uint64_t>(d >> 63);
+  while (z >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(z | 0x80));
+    z >>= 7;
   }
-  ++stats_.misses;
-  if (hit != nullptr) *hit = false;
+  out.push_back(static_cast<std::uint8_t>(z));
+}
 
+std::int64_t get_delta(const std::uint8_t*& at, std::int64_t prev) {
+  std::uint64_t z = *at++;
+  if (z >= 0x80) {  // multi-byte varint; most deltas fit in one byte
+    z &= 0x7f;
+    for (int shift = 7;; shift += 7) {
+      const std::uint8_t byte = *at++;
+      z |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if (byte < 0x80) break;
+    }
+  }
+  const auto d = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(z >> 1) ^ -static_cast<std::int64_t>(z & 1));
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(prev) + d);
+}
+
+std::vector<std::uint8_t> pack_demands(const std::vector<Demand>& demands) {
+  std::vector<std::uint8_t> out;
+  out.reserve(4 * demands.size());
+  Demand prev;
+  for (const auto& d : demands) {
+    put_delta(out, d.src, prev.src);
+    put_delta(out, d.dst, prev.dst);
+    put_delta(out, d.words, prev.words);
+    prev = d;
+  }
+  out.shrink_to_fit();
+  return out;
+}
+
+/// Element-wise check of a packed list against `demands` (same length).
+bool packed_equals(const std::vector<std::uint8_t>& packed,
+                   const std::vector<Demand>& demands) {
+  const std::uint8_t* at = packed.data();
+  Demand prev;
+  for (const auto& d : demands) {
+    const Demand got{static_cast<int>(get_delta(at, prev.src)),
+                     static_cast<int>(get_delta(at, prev.dst)),
+                     get_delta(at, prev.words)};
+    if (got != d) return false;
+    prev = got;
+  }
+  return at == packed.data() + packed.size();
+}
+
+}  // namespace
+
+Schedule ScheduleCache::get(int n, const std::vector<Demand>& demands,
+                            SchedulePolicy policy) {
+  return get(demand_fingerprint(n, demands), n, demands, policy);
+}
+
+Schedule ScheduleCache::get(std::uint64_t key, int n,
+                            const std::vector<Demand>& demands,
+                            SchedulePolicy policy) {
+  std::size_t capacity = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (const Entry* e = find(key, n, demands, policy)) {
+      ++stats_.hits;
+      return e->schedule;
+    }
+    ++stats_.misses;
+    capacity = capacity_;
+  }
+
+  // Schedule with the lock released: the split may run for milliseconds
+  // and other threads' hits must not wait on it.
+  const Schedule sched = policy == SchedulePolicy::Greedy
+                             ? schedule_greedy_relay(n, demands)
+                             : schedule_koenig_relay(n, demands);
+  if (demands.size() > capacity) return sched;  // never stored
+  Entry entry{n, policy, demands.size(), pack_demands(demands), sched, key};
+
+  const std::lock_guard<std::mutex> lock(mu_);
+  // Another thread may have inserted the same shape meanwhile; its
+  // schedule is the identical deterministic one, so the first insert wins.
+  if (find(key, n, demands, policy) != nullptr) return sched;
   evict_to_fit(demands.size());
-
-  Schedule sched = policy == SchedulePolicy::Greedy
-                       ? schedule_greedy_relay(n, demands)
-                       : schedule_koenig_relay(n, demands);
   cached_demands_ += demands.size();
-  lru_.push_front(Entry{n, policy, demands, sched, 0, key});
+  lru_.push_front(std::move(entry));
   map_[key].push_back(lru_.begin());
-  return lru_.front().schedule;
+  return sched;
+}
+
+const ScheduleCache::Entry* ScheduleCache::find(
+    std::uint64_t key, int n, const std::vector<Demand>& demands,
+    SchedulePolicy policy) {
+  const auto it = map_.find(key);
+  if (it == map_.end()) return nullptr;
+  for (const auto eit : it->second)
+    if (eit->n == n && eit->policy == policy &&
+        eit->count == demands.size() && packed_equals(eit->packed, demands)) {
+      lru_.splice(lru_.begin(), lru_, eit);
+      return &*eit;
+    }
+  return nullptr;
 }
 
 void ScheduleCache::evict_to_fit(std::size_t incoming_demands) {
@@ -1104,29 +1196,38 @@ void ScheduleCache::evict_to_fit(std::size_t incoming_demands) {
     auto& chain = cit->second;
     chain.erase(std::find(chain.begin(), chain.end(), victim));
     if (chain.empty()) map_.erase(cit);
-    cached_demands_ -= victim->demands.size();
+    cached_demands_ -= victim->count;
     lru_.erase(victim);
     ++stats_.evictions;
   }
 }
 
-std::int64_t ScheduleCache::total_reuse() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& e : lru_) total += e.reuse;
-  return total;
+ScheduleCache::Stats ScheduleCache::stats() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
-std::int64_t ScheduleCache::max_entry_reuse() const noexcept {
-  std::int64_t best = 0;
-  for (const auto& e : lru_) best = std::max(best, e.reuse);
-  return best;
+std::size_t ScheduleCache::entries() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return lru_.size();
 }
 
 void ScheduleCache::clear() {
+  const std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   map_.clear();
   cached_demands_ = 0;
   stats_ = Stats{};
+}
+
+void ScheduleCache::set_capacity(std::size_t max_cached_demands) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  capacity_ = max_cached_demands;
+}
+
+ScheduleCache& schedule_store() {
+  static ScheduleCache store;
+  return store;
 }
 
 }  // namespace cca::clique

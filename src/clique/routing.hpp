@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <list>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -94,7 +95,9 @@ enum class SchedulePolicy { ExactKoenig, Greedy };
 // fingerprint of the canonical demand list (deliver() emits demands in
 // (src, dst) ascending order, so equal lists hash equally) and verifies the
 // full list on every hit, so a fingerprint collision degrades to a
-// recompute, never to a wrong round count. The random-relay discipline is
+// recompute, never to a wrong round count. One process-wide store
+// (schedule_store()) holds every schedule, so a shape is split once per
+// process however many Networks meet it. The random-relay discipline is
 // seed-dependent and must bypass the cache (Network::deliver does).
 
 /// The reusable outcome of one relay-schedule computation.
@@ -102,6 +105,8 @@ struct Schedule {
   std::int64_t rounds = 0;   ///< phase-A + phase-B relay rounds
   std::int64_t classes = 0;  ///< colour classes of the decomposition
   std::int64_t words = 0;    ///< total words the schedule moves
+
+  friend bool operator==(const Schedule&, const Schedule&) = default;
 };
 
 /// Run the Euler-split colouring and return the full Schedule (the
@@ -146,11 +151,22 @@ greedy_relay_classes(int n, const std::vector<Demand>& demands);
 /// by the SchedulePolicy that computed them (an exact and a greedy schedule
 /// of the same shape are distinct entries). Hits verify the stored demand
 /// list element-wise (exactness over speed: a 64-bit collision degrades to
-/// a chained recompute). The cache bounds its footprint with true LRU
-/// eviction: when the stored demand elements would exceed the capacity, the
-/// least-recently-used entries are evicted one at a time — eviction can only
-/// ever cause a recompute of the SAME deterministic schedule, never a
-/// different round count (pinned by tests/test_routing.cpp).
+/// a chained recompute); each list is stored delta-varint packed, about 3-4
+/// bytes per demand instead of the 16 of a Demand. The cache bounds its
+/// footprint with true LRU eviction: when the stored demand elements would
+/// exceed the capacity, the least-recently-used entries are evicted one at a
+/// time — eviction can only ever cause a recompute of the SAME deterministic
+/// schedule, never a different round count (pinned by
+/// tests/test_routing.cpp). A list with
+/// more demands than the whole capacity is scheduled and returned but never
+/// stored, so one oversized shape cannot flush every resident entry.
+///
+/// Thread safety: every member is safe to call concurrently (one mutex
+/// guards the entries and counters), and get() returns the Schedule by
+/// value, so no result aliases cache storage. The schedulers run with the
+/// lock released: two threads that miss the same shape both compute the
+/// identical schedule and the first insert wins. schedule_store() is the
+/// process-wide instance every Network consults.
 class ScheduleCache {
  public:
   struct Stats {
@@ -159,43 +175,46 @@ class ScheduleCache {
     std::int64_t evictions = 0;
   };
 
-  /// The schedule for this demand list under `policy`; computed and
-  /// inserted on miss. The reference stays valid until the next get() call.
-  /// When `hit` is non-null it receives whether this lookup was served from
-  /// the cache (the same fact the internal stats counters record).
-  const Schedule& get(int n, const std::vector<Demand>& demands,
-                      SchedulePolicy policy = SchedulePolicy::ExactKoenig,
-                      bool* hit = nullptr);
+  /// The schedule for this demand list under `policy`; computed (and
+  /// inserted, unless the list alone exceeds the capacity) on a miss.
+  [[nodiscard]] Schedule get(
+      int n, const std::vector<Demand>& demands,
+      SchedulePolicy policy = SchedulePolicy::ExactKoenig);
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t entries() const noexcept { return lru_.size(); }
+  /// The same lookup with the list's demand_fingerprint already computed
+  /// (`key` must equal demand_fingerprint(n, demands)).
+  [[nodiscard]] Schedule get(std::uint64_t key, int n,
+                             const std::vector<Demand>& demands,
+                             SchedulePolicy policy);
+
+  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] std::size_t entries() const;
+  /// Drop every entry and zero the counters.
   void clear();
 
   /// LRU capacity in stored Demand elements (default 1 << 22). Lowering it
-  /// below the current footprint evicts immediately on the next get().
-  void set_capacity(std::size_t max_cached_demands) noexcept {
-    capacity_ = max_cached_demands;
-  }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  /// Per-entry reuse observability: how often live entries were served from
-  /// the cache since insertion (an entry's count dies with its eviction).
-  [[nodiscard]] std::int64_t total_reuse() const noexcept;
-  [[nodiscard]] std::int64_t max_entry_reuse() const noexcept;
+  /// below the current footprint evicts on the next insert.
+  void set_capacity(std::size_t max_cached_demands);
 
  private:
   struct Entry {
     int n = 0;
     SchedulePolicy policy = SchedulePolicy::ExactKoenig;
-    std::vector<Demand> demands;
+    std::size_t count = 0;             ///< demands in the stored list
+    std::vector<std::uint8_t> packed;  ///< the list, delta-varint packed
     Schedule schedule;
-    std::int64_t reuse = 0;  ///< hits served by this entry
-    std::uint64_t key = 0;   ///< back-reference for O(1) eviction
+    std::uint64_t key = 0;             ///< back-reference for O(1) eviction
   };
   using EntryIt = std::list<Entry>::iterator;
 
+  /// The live entry for this shape, marked most recently used, or nullptr
+  /// (caller holds mu_).
+  [[nodiscard]] const Entry* find(std::uint64_t key, int n,
+                                  const std::vector<Demand>& demands,
+                                  SchedulePolicy policy);
   void evict_to_fit(std::size_t incoming_demands);
 
+  mutable std::mutex mu_;
   // LRU list (front = most recent) + fingerprint -> chain of iterators
   // (chains absorb collisions).
   std::list<Entry> lru_;
@@ -204,5 +223,9 @@ class ScheduleCache {
   std::size_t cached_demands_ = 0;  ///< total stored Demand elements
   std::size_t capacity_ = std::size_t{1} << 22;
 };
+
+/// The process-wide schedule store: the one holder of relay schedules for
+/// every Network in the process, including concurrent rank threads.
+[[nodiscard]] ScheduleCache& schedule_store();
 
 }  // namespace cca::clique

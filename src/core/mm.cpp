@@ -33,7 +33,7 @@ namespace {
 /// bucket(colS(k)) * bucket(rowT(k)), so iterates whose per-row counts
 /// drift within their buckets keep the IDENTICAL partition — the structural
 /// prerequisite for the distribute / contribute demand lists to repeat
-/// across squarings and hit the ScheduleCache. Shared by
+/// across squarings and hit the schedule store. Shared by
 /// build_sparse_mm_structure and the build-free lower bound so the gate can
 /// never disagree with the plan it is gating.
 struct SparseWorkerPartition {

@@ -825,7 +825,7 @@ struct SparseMmStructure {
 /// from BUCKETED counts and the executor pads each block to its bucket, so
 /// consecutive squarings whose per-row counts drift WITHIN their buckets
 /// emit byte-identical demand lists and replay the previous iteration's
-/// routing schedule from the ScheduleCache instead of re-running the Euler
+/// routing schedule from the schedule store instead of re-running the Euler
 /// split. Padding bound: a bucketed block is < 2x its exact size (counts
 /// <= 8 are exact; above 8 the next power of two is < 2c and every codec's
 /// words_for is monotone with words_for(2c) <= 2 words_for(c)), and the
@@ -1593,7 +1593,7 @@ struct MmDispatchContext {
 /// nnz-adaptive dispatch of B products (B = 1: mm_semiring_auto). One real
 /// announcement (detail::sparse_nnz_announce), then the candidate with the
 /// fewest PLANNED rounds runs. Plans are exact — they schedule the very
-/// demand lists the engines stage, through the net's schedule cache, so a
+/// demand lists the engines stage, through the schedule store, so a
 /// plan is never wrong and never wasted. The sparse plan reuses the
 /// announcement as its own step 0, so Auto-chosen-sparse charges exactly
 /// the sparse engine's rounds; a dense choice pays its engine plus the
@@ -1695,7 +1695,7 @@ template <Semiring S, typename Codec>
   // but the order decides how much losing plans cost on the host: a
   // sparse-winning multiply at n = 343 never pays the dense engines'
   // n^2-demand Euler splits. Costing a candidate that the run then uses is
-  // free either way: its schedules land in the ScheduleCache and the real
+  // free either way: its schedules land in the schedule store and the real
   // run replays them. Under the Greedy policy scheduling is O(words),
   // gating would save nothing, and the looser greedy rounds ARE the run's
   // real cost — so bounds drop to 0, aborts are off, and every admissible

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <thread>
 
 #include "clique/network.hpp"
 #include "clique/primitives.hpp"
@@ -382,17 +384,91 @@ TEST(ScheduleCacheLru, EvictionNeverChangesRounds) {
   EXPECT_EQ(cache.stats().hits, 0);  // pure thrash: every get recomputed
 }
 
-TEST(ScheduleCacheLru, ReuseCountersTrackLiveEntries) {
+TEST(ScheduleCacheLru, OversizedListIsScheduledButNeverStored) {
+  // A list with more demands than the whole capacity is scheduled and
+  // returned but not stored: storing it would evict every resident entry
+  // and still overrun the bound.
+  Rng rng(53);
+  const int n = 14;
+  const auto small = random_demands(rng, n, 20, 10);
+  const auto big = random_demands(rng, n, 80, 10);
   ScheduleCache cache;
-  Rng rng(91);
-  const int n = 10;
-  const auto a = random_demands(rng, n, 20, 6);
-  (void)cache.get(n, a);
-  EXPECT_EQ(cache.total_reuse(), 0);
-  (void)cache.get(n, a);
-  (void)cache.get(n, a);
-  EXPECT_EQ(cache.total_reuse(), 2);
-  EXPECT_EQ(cache.max_entry_reuse(), 2);
+  cache.set_capacity(50);
+  (void)cache.get(n, small);
+  ASSERT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.get(n, big).rounds, schedule_koenig_relay(n, big).rounds);
+  EXPECT_EQ(cache.get(n, big, SchedulePolicy::Greedy).rounds,
+            schedule_greedy_relay(n, big).rounds);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.stats().evictions, 0);
+  const auto hits = cache.stats().hits;
+  EXPECT_EQ(cache.get(n, small).rounds,
+            schedule_koenig_relay(n, small).rounds);
+  EXPECT_EQ(cache.stats().hits, hits + 1);  // the resident entry survived
+}
+
+TEST(ScheduleCacheLru, CollidingKeysNeverShareASchedule) {
+  // Lists filed under one fingerprint (forced through the keyed get) that
+  // differ only in their last demand's words or in length each get their
+  // own schedule: every hit decodes the stored list and compares it
+  // element-wise.
+  Rng rng(61);
+  const int n = 13;
+  auto a = random_demands(rng, n, 30, 9);
+  auto b = a;
+  b.back().words += 5000;
+  auto c = a;
+  c.pop_back();
+  ScheduleCache cache;
+  const std::uint64_t key = 42;
+  for (int pass = 0; pass < 2; ++pass)
+    for (const auto* list : {&a, &b, &c})
+      EXPECT_EQ(cache.get(key, n, *list, SchedulePolicy::ExactKoenig),
+                schedule_koenig_relay(n, *list));
+  EXPECT_EQ(cache.stats().misses, 3);
+  EXPECT_EQ(cache.stats().hits, 3);
+  EXPECT_EQ(cache.entries(), 3u);
+}
+
+TEST(ScheduleCacheLru, ConcurrentGetsMatchFreshSchedules) {
+  // The rank threads of a socket run share one store. Four threads look up
+  // overlapping shapes under both policies through a capacity that holds
+  // three lists, so hits, misses, racing inserts of the same shape and
+  // evictions interleave; every answer must equal a fresh computation.
+  Rng rng(47);
+  const int n = 12;
+  const int kShapes = 6;
+  const int kEntries = 40;
+  std::vector<std::vector<Demand>> shapes;
+  std::vector<Schedule> exact, greedy;
+  for (int i = 0; i < kShapes; ++i) {
+    shapes.push_back(random_demands(rng, n, kEntries, 8));
+    exact.push_back(schedule_koenig_relay(n, shapes.back()));
+    greedy.push_back(schedule_greedy_relay(n, shapes.back()));
+  }
+  ScheduleCache cache;
+  cache.set_capacity(3 * kEntries);
+  const int kThreads = 4;
+  const int kLookups = 60;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kLookups; ++i) {
+        const auto s = static_cast<std::size_t>((7 * t + i) % kShapes);
+        const auto policy = (i / 3 + t) % 2 == 0 ? SchedulePolicy::ExactKoenig
+                                                 : SchedulePolicy::Greedy;
+        const auto want =
+            policy == SchedulePolicy::Greedy ? greedy[s] : exact[s];
+        if (cache.get(n, shapes[s], policy) != want) ++mismatches;
+      }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kLookups);
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_LE(cache.entries(), 3u);
 }
 
 TEST(Network, ScheduleWallTelemetryAccumulates) {
@@ -505,7 +581,53 @@ TEST(Network, ScheduleCacheCountersTrackRepeatedShapes) {
   EXPECT_EQ(net.stats().schedule_misses, 2);
 }
 
+TEST(Network, FreshNetworkCountsStoredShapeAsMiss) {
+  // The process store holds the schedules, but the hit/miss telemetry is
+  // per network: B's first sighting of a shape A already scheduled is a
+  // miss, it charges identical rounds, and the store keeps one copy.
+  auto superstep = [](Network& net) {
+    for (int v = 0; v < 11; ++v) net.send(v, (v + 3) % 11, 6);
+    net.deliver();
+  };
+  Network a(11);
+  superstep(a);
+  superstep(a);
+  EXPECT_EQ(a.stats().schedule_misses, 1);
+  EXPECT_EQ(a.stats().schedule_hits, 1);
+  const auto stored = schedule_store().entries();
+  Network b(11);
+  superstep(b);
+  EXPECT_EQ(b.stats().schedule_misses, 1);
+  EXPECT_EQ(b.stats().schedule_hits, 0);
+  EXPECT_EQ(2 * b.stats().rounds, a.stats().rounds);
+  EXPECT_EQ(schedule_store().entries(), stored);
+}
+
+TEST(Network, PlannedThenDeliveredOnFreshNetworkIsHit) {
+  // A shape another network already scheduled, planned on B with
+  // prepare_schedule and then delivered, is a hit on B, as it is when B
+  // computed the plan itself.
+  std::vector<Demand> demands;
+  for (int v = 0; v < 12; ++v) demands.push_back({v, (v + 5) % 12, 9});
+  auto superstep = [](Network& net) {
+    for (int v = 0; v < 12; ++v)
+      for (int w = 0; w < 9; ++w) net.send(v, (v + 5) % 12, 1);
+    net.deliver();
+  };
+  Network a(12);
+  superstep(a);
+  Network b(12);
+  const auto planned = b.prepare_schedule(demands);
+  EXPECT_EQ(b.stats().schedule_hits + b.stats().schedule_misses, 0);
+  superstep(b);
+  EXPECT_EQ(b.stats().schedule_hits, 1);
+  EXPECT_EQ(b.stats().schedule_misses, 0);
+  EXPECT_EQ(b.stats().rounds, planned);
+  EXPECT_EQ(a.stats().rounds, planned);
+}
+
 TEST(Network, RandomRelayBypassesScheduleCache) {
+  const auto stored = schedule_store().entries();
   Network net(8, Router::RandomRelay);
   for (int i = 0; i < 3; ++i) {
     net.send(0, 5, 1);
@@ -514,7 +636,7 @@ TEST(Network, RandomRelayBypassesScheduleCache) {
   }
   EXPECT_EQ(net.stats().schedule_hits, 0);
   EXPECT_EQ(net.stats().schedule_misses, 0);
-  EXPECT_EQ(net.schedule_cache().entries(), 0u);
+  EXPECT_EQ(schedule_store().entries(), stored);
 }
 
 TEST(Network, DirectRouterBypassesScheduleCache) {
